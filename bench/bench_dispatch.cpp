@@ -1,14 +1,15 @@
-// Simulator dispatch bench: instruction throughput (MIPS) of all four
-// engines -- the reference interpreter, the predecoded micro-op engine, the
-// superblock-fused engine, and the jit trace-compilation engine -- on four
-// loop shapes: integer-only ALU, scalar binary32 FP, packed-SIMD f8/f16,
-// and a realistic vectorized kernel inner loop. The jit rows also record
-// the translation-time share of wall clock and the trace-cache hit rate. The FP-capable engines are additionally measured under both
-// math backends (grs = guard/round/sticky softfloat, fast = exhaustive f8
-// LUTs + host-double f16/f32 path); the backend column is the speedup of
-// fast over grs on the predecoded engine. Writes BENCH_dispatch.json (path
-// overridable via argv[1]) so the speedups from the dispatch refactor, the
-// fusion layer, and the math backend land in the bench trajectory.
+// Simulator dispatch bench: instruction throughput (MIPS) of all three
+// engines -- the reference interpreter, the predecoded micro-op engine, and
+// the jit trace-compilation engine -- on four loop shapes: integer-only
+// ALU, scalar binary32 FP, packed-SIMD f8/f16, and a realistic vectorized
+// kernel inner loop. The jit rows also record the translation-time share of
+// wall clock and the trace-cache hit rate. The predecoded and jit engines
+// are additionally measured under both math backends (grs =
+// guard/round/sticky softfloat, fast = exhaustive f8 LUTs + host-double
+// f16/f32 path); the backend column is the speedup of fast over grs on the
+// predecoded engine. Writes BENCH_dispatch.json (path overridable via
+// argv[1]) so the speedups from the dispatch refactor, the trace compiler,
+// and the math backend land in the bench trajectory.
 // The second section measures *simulated cycles* of glue-bound lowered
 // kernels at each post-lowering optimization level (ir/opt.hpp O0/O1/O2):
 // unrolling + pointer strength reduction + dead-glue elimination attack the
@@ -88,7 +89,7 @@ Workload scalar_fp_loop() {
 /// (gemm/svm manual-vec: loads, one packed mac, store, address bumps,
 /// back-edge) — the packed-SIMD loop the end-to-end campaign executes. The
 /// pure-ALU loop below is the math-bound extreme; this one carries the
-/// realistic glue-to-math ratio the fusion layer targets.
+/// realistic glue-to-math ratio the trace compiler targets.
 Workload packed_simd_kernel_loop() {
   Assembler a;
   const std::uint32_t buf = a.data_zero(64);
@@ -247,46 +248,39 @@ int main(int argc, char** argv) {
                                            packed_simd_loop(),
                                            packed_simd_kernel_loop()};
 
-  std::printf("%-22s %9s %9s %10s %9s %9s %10s %9s %9s %9s %7s %7s\n",
-              "workload", "ref MIPS", "uop MIPS", "fused MIPS", "jit MIPS",
-              "uop-fast", "fused-fast", "jit-fast", "fused/uop", "jit/fused",
-              "xlate%", "hit%");
+  std::printf("%-22s %9s %9s %9s %9s %9s %9s %7s %7s\n", "workload",
+              "ref MIPS", "uop MIPS", "jit MIPS", "uop-fast", "jit-fast",
+              "jit/uop", "xlate%", "hit%");
   std::string json = "{\n  \"bench\": \"dispatch\",\n  \"workloads\": [\n";
   bool first = true;
   for (const auto& w : workloads) {
     using MathBackend = sfrv::fp::MathBackend;
     const auto ref = measure(w, Core::Engine::Reference);
     const auto uop = measure(w, Core::Engine::Predecoded);
-    const auto fus = measure(w, Core::Engine::Fused);
     const auto jit = measure(w, Core::Engine::Jit);
     const auto uop_fast = measure(w, Core::Engine::Predecoded, MathBackend::Fast);
-    const auto fus_fast = measure(w, Core::Engine::Fused, MathBackend::Fast);
     const auto jit_fast = measure(w, Core::Engine::Jit, MathBackend::Fast);
     const double speedup = uop.mips / ref.mips;
-    const double fusion_gain = fus.mips / uop.mips;
-    const double jit_gain = jit.mips / fus.mips;
+    const double jit_over_uop = jit.mips / uop.mips;
     const double backend_gain = uop_fast.mips / uop.mips;
     std::printf(
-        "%-22s %9.1f %9.1f %10.1f %9.1f %9.1f %10.1f %9.1f %8.2fx %8.2fx "
-        "%6.2f%% %6.1f%%\n",
-        w.name.c_str(), ref.mips, uop.mips, fus.mips, jit.mips, uop_fast.mips,
-        fus_fast.mips, jit_fast.mips, fusion_gain, jit_gain,
-        100 * jit.translate_share, 100 * jit.hit_rate);
-    char buf[640];
+        "%-22s %9.1f %9.1f %9.1f %9.1f %9.1f %8.2fx %6.2f%% %6.1f%%\n",
+        w.name.c_str(), ref.mips, uop.mips, jit.mips, uop_fast.mips,
+        jit_fast.mips, jit_over_uop, 100 * jit.translate_share,
+        100 * jit.hit_rate);
+    char buf[512];
     std::snprintf(buf, sizeof buf,
                   "%s    {\"name\": \"%s\", \"instructions\": %llu, "
                   "\"ref_mips\": %.1f, \"uop_mips\": %.1f, "
-                  "\"fused_mips\": %.1f, \"jit_mips\": %.1f, "
-                  "\"uop_fast_mips\": %.1f, \"fused_fast_mips\": %.1f, "
+                  "\"jit_mips\": %.1f, \"uop_fast_mips\": %.1f, "
                   "\"jit_fast_mips\": %.1f, \"speedup\": %.3f, "
-                  "\"fused_speedup\": %.3f, \"fusion_gain\": %.3f, "
-                  "\"jit_gain\": %.3f, \"jit_translate_share\": %.4f, "
+                  "\"jit_over_uop\": %.3f, \"jit_translate_share\": %.4f, "
                   "\"jit_cache_hit_rate\": %.4f, \"backend_gain\": %.3f}",
                   first ? "" : ",\n", w.name.c_str(),
                   static_cast<unsigned long long>(uop.instructions), ref.mips,
-                  uop.mips, fus.mips, jit.mips, uop_fast.mips, fus_fast.mips,
-                  jit_fast.mips, speedup, fus.mips / ref.mips, fusion_gain,
-                  jit_gain, jit.translate_share, jit.hit_rate, backend_gain);
+                  uop.mips, jit.mips, uop_fast.mips, jit_fast.mips, speedup,
+                  jit_over_uop, jit.translate_share, jit.hit_rate,
+                  backend_gain);
     json += buf;
     first = false;
   }

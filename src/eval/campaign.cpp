@@ -56,8 +56,15 @@ std::vector<EvalBenchmark> make_full_suite() {
   for (const auto& b : kernels::benchmark_suite()) {
     EvalBenchmark eb{b, nullptr};
     if (b.name == "svm") {
-      const auto& f = kernels::svm_fixture();
-      eb.accuracy = svm_accuracy_hook(f.model, f.test);
+      // The paper fixture trains on first use, so full-scale campaigns
+      // without svm cells never pay for it.
+      eb.accuracy = [](const KernelSpec& spec, const RunResult& r) {
+        static const auto hook = [] {
+          const auto& f = kernels::svm_fixture();
+          return svm_accuracy_hook(f.model, f.test);
+        }();
+        return hook(spec, r);
+      };
     }
     out.push_back(std::move(eb));
   }
@@ -415,6 +422,10 @@ CellResult run_cell(const CellSpec& cell, const sim::MemConfig& mem,
 
 EvalReport run_campaign(const CampaignSpec& spec, int jobs, CellStore* store,
                         const CellCallback& on_cell) {
+  // Without a caller's store the campaign still keeps one for its own
+  // lifetime, so the tuner study reuses the matrix cells it shares.
+  CellStore local;
+  if (store == nullptr) store = &local;
   const auto planned = plan_campaign(spec);
   const std::size_t total = planned.size();
 
@@ -433,29 +444,24 @@ EvalReport run_campaign(const CampaignSpec& spec, int jobs, CellStore* store,
   // and serial), so hits stream before any simulation starts and only the
   // misses ever reach the executor.
   std::vector<std::size_t> misses;
-  if (store != nullptr) {
-    for (std::size_t i = 0; i < total; ++i) {
-      if (auto hit = store->lookup(planned[i].key)) {
-        stamp_presentation(*hit, planned[i].cell);
-        results[i] = std::move(*hit);
-        ++tally.hits;
-        emit(i, results[i], true);
-      } else {
-        misses.push_back(i);
-      }
+  for (std::size_t i = 0; i < total; ++i) {
+    if (auto hit = store->lookup(planned[i].key)) {
+      stamp_presentation(*hit, planned[i].cell);
+      results[i] = std::move(*hit);
+      ++tally.hits;
+      emit(i, results[i], true);
+    } else {
+      misses.push_back(i);
     }
-    tally.misses = misses.size();
-  } else {
-    misses.resize(total);
-    for (std::size_t i = 0; i < total; ++i) misses[i] = i;
   }
+  tally.misses = misses.size();
 
   // Executor layer: cache-miss cells on the work-stealing shards.
-  run_sharded(misses.size(), std::max(1, jobs), [&](std::size_t mi) {
+  run_sharded(misses.size(), jobs, [&](std::size_t mi) {
     const std::size_t i = misses[mi];
     CellResult c = run_planned_cell(planned[i], spec.mem, spec.engine,
                                     spec.backend);
-    if (store != nullptr) store->insert(planned[i].key, c);
+    store->insert(planned[i].key, c);
     emit(i, c, false);
     results[i] = std::move(c);
   });
@@ -504,6 +510,8 @@ TunerStudy run_tuner_study(SuiteScale scale, const sim::MemConfig& mem,
     throw std::runtime_error("tuner study requires the svm benchmark");
   }
   const EvalBenchmark& svm = *it;
+  CellStore local;
+  if (store == nullptr) store = &local;
 
   using ir::ScalarType;
   // Narrowest first, posits after their equally-wide IEEE formats.
@@ -546,17 +554,13 @@ TunerStudy run_tuner_study(SuiteScale scale, const sim::MemConfig& mem,
     cell.vl = opt.vl_cap;  // plan_one re-applies it; keep key.vl == opt.vl_cap
     const PlannedCell p = plan_one(scale, cell, mem, engine, backend, opt);
     CellResult c;
-    if (store != nullptr) {
-      if (auto hit = store->lookup(p.key)) {
-        c = std::move(*hit);
-        if (tally != nullptr) ++tally->hits;
-      } else {
-        c = run_planned_cell(p, mem, engine, backend);
-        store->insert(p.key, c);
-        if (tally != nullptr) ++tally->misses;
-      }
+    if (auto hit = store->lookup(p.key)) {
+      c = std::move(*hit);
+      if (tally != nullptr) ++tally->hits;
     } else {
       c = run_planned_cell(p, mem, engine, backend);
+      store->insert(p.key, c);
+      if (tally != nullptr) ++tally->misses;
     }
     const Outcome out{c.accuracy, static_cast<double>(c.cycles)};
     memo.emplace(key, out);

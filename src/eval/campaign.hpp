@@ -4,9 +4,10 @@
 //                planned cells: the built kernel, its lowered program, and a
 //                content-addressed CellKey (kernel digest × TypeConfig ×
 //                mode × engine × backend × opt × vl × mem × schema).
-//  * store     — run_campaign consults an optional CellStore before
-//                simulating; hits are served in O(1) and only misses reach
-//                the executor (eval/cellstore.hpp).
+//  * store     — run_campaign consults a CellStore (the caller's, or a
+//                memory-only one of its own) before simulating; hits are
+//                served in O(1) and only misses reach the executor
+//                (eval/cellstore.hpp).
 //  * executor  — cache-miss cells run on per-shard work-stealing deques
 //                (eval/executor.hpp), streaming each completed cell through
 //                a callback so clients (the service tier, progress UIs) can
@@ -150,10 +151,12 @@ using CellCallback = std::function<void(
     std::size_t index, std::size_t total, const CellResult& cell, bool cached)>;
 
 /// Run the whole campaign with `jobs` worker threads (clamped to >= 1).
-/// With a `store`, cells present in it are served instead of simulated and
-/// computed cells are inserted; `report.cache.{hits,misses}` record the
-/// lookup outcome (serialization of that block stays opt-in via
-/// `report.has_cache`). `on_cell` streams partial results.
+/// Cells present in `store` are served instead of simulated and computed
+/// cells are inserted; without a caller's store the campaign uses a
+/// memory-only one for its own lifetime, so its tuner study still reuses
+/// matrix cells. `report.cache.{hits,misses}` record the lookup outcome
+/// (serialization of that block stays opt-in via `report.has_cache`).
+/// `on_cell` streams partial results.
 [[nodiscard]] EvalReport run_campaign(const CampaignSpec& spec, int jobs = 1,
                                       CellStore* store = nullptr,
                                       const CellCallback& on_cell = nullptr);
@@ -171,10 +174,11 @@ using CellCallback = std::function<void(
 /// over the 36-config grid: lattice-ordered pairs are simulated once each
 /// (memoized), unordered pairs are recorded as skipped trials.
 ///
-/// With a `store` the tuner is a store-aware client: every simulated pair is
-/// a content-addressed cell, so grid points that coincide with campaign
-/// matrix cells (e.g. the "mixed" f16/f32 ManualVec SVM) are served instead
-/// of re-simulated, and vice versa. `tally` (optional) accumulates the
+/// The tuner is a store-aware client (a memory-only store of its own when
+/// `store` is null): every simulated pair is a content-addressed cell, so
+/// grid points that coincide with campaign matrix cells (e.g. the "mixed"
+/// f16/f32 ManualVec SVM) are served instead of re-simulated, and vice
+/// versa. `tally` (optional) accumulates the
 /// lookup hits/misses into a campaign's cache telemetry.
 [[nodiscard]] TunerStudy run_tuner_study(
     SuiteScale scale, const sim::MemConfig& mem,

@@ -41,9 +41,16 @@ struct Shard {
 
 }  // namespace
 
+int worker_count(std::size_t n, int shards) {
+  // Never more workers than tasks: a surplus worker would only start, find
+  // every deque empty, and exit.
+  return static_cast<int>(std::clamp<std::size_t>(
+      n, 1, static_cast<std::size_t>(std::max(1, shards))));
+}
+
 void run_sharded(std::size_t n, int shards,
                  const std::function<void(std::size_t)>& task) {
-  const int w = std::max(1, shards);
+  const int w = worker_count(n, shards);
   std::vector<Shard> deques(static_cast<std::size_t>(w));
   // Round-robin deal: neighbouring cells of the expansion (same benchmark,
   // adjacent configs) land on different shards, spreading the expensive

@@ -19,8 +19,12 @@
 
 namespace sfrv::eval {
 
-/// Run `task(0..n-1)` across `shards` worker threads (clamped to >= 1; one
-/// shard runs inline on the calling thread). If any task throws, remaining
+/// Worker threads run_sharded starts for `n` tasks: `shards` clamped to
+/// [1, max(n, 1)].
+[[nodiscard]] int worker_count(std::size_t n, int shards);
+
+/// Run `task(0..n-1)` across worker_count(n, shards) worker threads (one
+/// runs inline on the calling thread). If any task throws, remaining
 /// tasks are abandoned and the first exception is rethrown after all
 /// workers retire.
 void run_sharded(std::size_t n, int shards,

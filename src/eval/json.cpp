@@ -47,6 +47,11 @@ void newline_indent(std::string& out, int indent, int depth) {
   out.append(static_cast<std::size_t>(indent * depth), ' ');
 }
 
+/// Deepest array/object nesting a document may have. The parser recurses
+/// once per level, so without a bound one hostile frame of nested brackets
+/// overflows the stack; every document this tool writes nests a few levels.
+constexpr int kMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -88,11 +93,12 @@ class Parser {
     return true;
   }
 
-  Json value() {
+  /// One JSON value; `depth` counts the arrays/objects enclosing it.
+  Json value(int depth = 0) {
     skip_ws();
     switch (peek()) {
-      case '{': return object();
-      case '[': return array();
+      case '{': return object(depth);
+      case '[': return array(depth);
       case '"': return Json(string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -107,7 +113,14 @@ class Parser {
     }
   }
 
-  Json object() {
+  void enter(int depth) const {
+    if (depth >= kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
+  }
+
+  Json object(int depth) {
+    enter(depth);
     expect('{');
     JsonObject obj;
     skip_ws();
@@ -120,7 +133,7 @@ class Parser {
       std::string key = string();
       skip_ws();
       expect(':');
-      obj.emplace_back(std::move(key), value());
+      obj.emplace_back(std::move(key), value(depth + 1));
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -131,7 +144,8 @@ class Parser {
     }
   }
 
-  Json array() {
+  Json array(int depth) {
+    enter(depth);
     expect('[');
     JsonArray arr;
     skip_ws();
@@ -140,7 +154,7 @@ class Parser {
       return Json(std::move(arr));
     }
     for (;;) {
-      arr.push_back(value());
+      arr.push_back(value(depth + 1));
       skip_ws();
       if (peek() == ',') {
         ++pos_;

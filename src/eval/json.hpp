@@ -84,7 +84,8 @@ class Json {
   [[nodiscard]] std::string dump(int indent = -1) const;
 
   /// Parse a complete JSON document; throws std::runtime_error with an
-  /// offset-tagged message on malformed input or trailing garbage.
+  /// offset-tagged message on malformed input, trailing garbage, or arrays
+  /// and objects nested more than 256 levels deep.
   [[nodiscard]] static Json parse(std::string_view text);
 
  private:

@@ -118,11 +118,10 @@ struct CacheTelemetry {
 
 struct EvalReport {
   std::string suite;   ///< campaign name ("table3", "smoke")
-  /// Simulator engine the cells executed through ("predecoded", "fused",
+  /// Simulator engine the cells executed through ("predecoded",
   /// "reference", "jit"). Recorded for provenance; every metric in the
-  /// report must
-  /// be engine-independent (the conformance suites enforce it), so two
-  /// reports that differ only here are the same measurement.
+  /// report must be engine-independent (the conformance suites enforce
+  /// it), so two reports that differ only here are the same measurement.
   std::string engine = "predecoded";
   /// Softfloat math backend ("grs", "fast"). Same provenance-only contract
   /// as `engine`: the backends are bit- and fflags-identical.

@@ -1,12 +1,13 @@
 #include "eval/service.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
+#include <list>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -113,8 +114,9 @@ bool send_frame(int fd, const Json& msg) {
   return write_all(fd, hdr, sizeof(hdr)) && write_all(fd, body.data(), n);
 }
 
-/// nullopt on clean EOF; throws on oversized or malformed frames.
-std::optional<Json> recv_frame(int fd) {
+/// One frame's body; nullopt on clean EOF, throws on an oversized or
+/// truncated frame.
+std::optional<std::string> recv_body(int fd) {
   std::uint8_t hdr[4];
   if (!read_all(fd, hdr, sizeof(hdr))) return std::nullopt;
   const std::uint32_t n = (static_cast<std::uint32_t>(hdr[0]) << 24) |
@@ -130,7 +132,14 @@ std::optional<Json> recv_frame(int fd) {
     errno = 0;
     fail("connection closed mid-frame");
   }
-  return Json::parse(body);
+  return body;
+}
+
+/// nullopt on clean EOF; throws on oversized, truncated, or malformed frames.
+std::optional<Json> recv_frame(int fd) {
+  std::optional<std::string> body = recv_body(fd);
+  if (!body) return std::nullopt;
+  return Json::parse(*body);
 }
 
 int dial(const std::string& address) {
@@ -207,9 +216,7 @@ int listen_on(const Addr& a) {
 void handle_run(int fd, const Json& msg, CellStore& store, int default_jobs) {
   const CampaignSpec spec = spec_from_json(msg.at("spec"));
   int jobs = default_jobs;
-  if (const Json* j = msg.find("jobs")) {
-    jobs = static_cast<int>(j->as_int());
-  }
+  if (const Json* j = msg.find("jobs")) jobs = clamp_request_jobs(j->as_int());
   const bool wall_clock =
       msg.find("wall_clock") != nullptr && msg.at("wall_clock").as_bool();
 
@@ -254,6 +261,12 @@ void handle_run(int fd, const Json& msg, CellStore& store, int default_jobs) {
 
 }  // namespace
 
+int clamp_request_jobs(std::int64_t jobs) {
+  const auto hw = static_cast<std::int64_t>(
+      std::max(1u, std::thread::hardware_concurrency()));
+  return static_cast<int>(std::clamp<std::int64_t>(jobs, 1, hw));
+}
+
 void serve(const ServeOptions& opts) {
   const Addr addr = parse_address(opts.address);
   const int listen_fd = listen_on(addr);
@@ -265,14 +278,12 @@ void serve(const ServeOptions& opts) {
   }
 
   std::atomic<bool> stop{false};
-  std::mutex threads_mu;
-  std::vector<std::thread> threads;
 
   auto handle_client = [&](int fd) {
     for (;;) {
-      std::optional<Json> msg;
+      std::optional<std::string> body;
       try {
-        msg = recv_frame(fd);
+        body = recv_body(fd);
       } catch (const std::exception& e) {
         if (opts.verbose) {
           std::fprintf(stderr, "sfrv-eval: dropping connection: %s\n",
@@ -280,10 +291,11 @@ void serve(const ServeOptions& opts) {
         }
         break;
       }
-      if (!msg) break;  // clean EOF
+      if (!body) break;  // clean EOF
       std::string type;
       try {
-        type = msg->at("type").as_string();
+        const Json msg = Json::parse(*body);
+        type = msg.at("type").as_string();
         if (type == "shutdown") {
           (void)send_frame(fd, Json(JsonObject{{"type", Json("bye")}}));
           stop.store(true);
@@ -295,7 +307,7 @@ void serve(const ServeOptions& opts) {
           errno = 0;
           fail("unknown message type: " + type);
         }
-        handle_run(fd, *msg, store, opts.jobs);
+        handle_run(fd, msg, store, opts.jobs);
       } catch (const std::exception& e) {
         // Campaign/spec errors go back to the requesting client; the daemon
         // and its store outlive any one bad request.
@@ -307,6 +319,26 @@ void serve(const ServeOptions& opts) {
     ::close(fd);
   };
 
+  // Only this thread touches the connection list. Each handler flags its
+  // own node when it is done; the accept loop joins flagged threads before
+  // adding a new one, so a long-lived daemon holds at most the connections
+  // that are still open plus the ones that closed since the last accept.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Connection> connections;  // stable node addresses for `done`
+  const auto join_finished = [&connections] {
+    for (auto it = connections.begin(); it != connections.end();) {
+      if (it->done.load()) {
+        it->thread.join();
+        it = connections.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  };
+
   while (!stop.load()) {
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
@@ -315,13 +347,14 @@ void serve(const ServeOptions& opts) {
       ::close(listen_fd);
       fail("accept");
     }
-    const std::lock_guard<std::mutex> lock(threads_mu);
-    threads.emplace_back(handle_client, fd);
+    join_finished();
+    Connection& c = connections.emplace_back();
+    c.thread = std::thread([&handle_client, &c, fd] {
+      handle_client(fd);
+      c.done.store(true);
+    });
   }
-  {
-    const std::lock_guard<std::mutex> lock(threads_mu);
-    for (auto& t : threads) t.join();
-  }
+  for (Connection& c : connections) c.thread.join();
   ::close(listen_fd);
   if (addr.is_unix) ::unlink(addr.path.c_str());
   if (opts.verbose) {

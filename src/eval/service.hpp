@@ -45,8 +45,14 @@ struct ServeOptions {
 /// Run the daemon: listen on `opts.address`, serve concurrent clients
 /// (thread per connection) against one shared CellStore, and return once a
 /// client sends a "shutdown" frame. Throws std::runtime_error on socket
-/// setup failure.
+/// setup failure. A frame that fails to parse gets an "error" reply and
+/// closes its connection; the daemon keeps serving.
 void serve(const ServeOptions& opts);
+
+/// The executor shards a "run" frame's `jobs` field may ask for: clamped to
+/// [1, std::thread::hardware_concurrency()], so a client cannot make the
+/// daemon start an arbitrary number of threads.
+[[nodiscard]] int clamp_request_jobs(std::int64_t jobs);
 
 /// What a remote campaign run hands back: the server-serialized report in
 /// both formats plus the run's cell-store telemetry.

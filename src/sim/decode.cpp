@@ -974,7 +974,7 @@ DecodedOp decode_op(const Inst& inst, const isa::IsaConfig& cfg,
     return u;
   }
   bind_handler(u, cfg, backend);
-  // Handler-shape tag for the superblock fuser, derived from the bound
+  // Handler-shape tag for the JIT translator, derived from the bound
   // handler so the big switch above stays single-purpose.
   if (u.fn == &h_fp_bin) {
     u.hkind = HandlerKind::FpBin;
@@ -988,6 +988,18 @@ DecodedOp decode_op(const Inst& inst, const isa::IsaConfig& cfg,
     u.hkind = HandlerKind::VecExsdotp;
   }
   return u;
+}
+
+std::uint16_t fixed_cycles(const DecodedOp& u, const Timing& timing,
+                           const MemConfig& mem) {
+  int cyc = u.base_cycles;
+  switch (u.tclass) {
+    case TimingClass::Load: cyc += mem.load_latency - 1; break;
+    case TimingClass::Store: cyc += mem.store_latency - 1; break;
+    case TimingClass::Jump: cyc += timing.jump_penalty; break;
+    default: break;
+  }
+  return static_cast<std::uint16_t>(cyc);
 }
 
 std::vector<DecodedOp> decode_program(const std::vector<Inst>& text,

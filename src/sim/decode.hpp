@@ -20,6 +20,7 @@
 #include "isa/instruction.hpp"
 #include "isa/isa.hpp"
 #include "sim/exec.hpp"
+#include "sim/memory.hpp"
 #include "sim/timing.hpp"
 #include "softfloat/runtime.hpp"
 
@@ -30,8 +31,8 @@ namespace sfrv::sim {
 enum class TimingClass : std::uint8_t { None, Load, Store, Jump, Branch };
 
 /// Branch condition of the six RV32I branch ops, shared by the micro-op
-/// branch handlers (decode.cpp) and the superblock fuser's inlined
-/// branch-pair handlers (superblock.cpp) so the semantics live once.
+/// branch handlers (decode.cpp) and the JIT's inlined branch slots
+/// (jit.cpp) so the semantics live once.
 /// (The reference interpreter keeps its own switch: it is the verbatim
 /// pre-refactor oracle and intentionally shares no code with the engines
 /// it checks.)
@@ -49,10 +50,10 @@ template <isa::Op B>
   if constexpr (B == isa::Op::BGEU) return a >= b;
 }
 
-/// Coarse handler-shape tag for the superblock fuser (sim/superblock.cpp):
-/// pairs of these shapes get fully specialized fused handlers instead of
-/// the generic two-call chain. Purely an optimization hint — semantics live
-/// in `fn` and the bound table entries.
+/// Coarse handler-shape tag for the JIT translator (sim/jit.cpp): ops of
+/// these shapes get dedicated trace tokens that call the bound softfloat
+/// entry directly instead of the handler trampoline. Purely an optimization
+/// hint — semantics live in `fn` and the bound table entries.
 enum class HandlerKind : std::uint8_t {
   Other, VecBin, VecMac, FpBin, VecDotp, VecExsdotp,
 };
@@ -95,6 +96,16 @@ struct DecodedOp {
   HandlerKind hkind = HandlerKind::Other;
   isa::Op op = isa::Op::EBREAK;  ///< for stats, tracing, and error messages
 };
+
+/// Cycles of `u` whose timing class has a static outcome, mirroring
+/// Core::account(): loads, stores, and jumps fold their fixed latency or
+/// penalty into one constant. Branch is the only dynamic class (taken or
+/// not) and yields just the base cycles; the taken penalty stays with the
+/// executor. The JIT translator and its trace checker (sim/verify.cpp) use
+/// it so compiled traces book the exact cycles Core::account() would.
+[[nodiscard]] std::uint16_t fixed_cycles(const DecodedOp& u,
+                                         const Timing& timing,
+                                         const MemConfig& mem);
 
 /// Lower one instruction into a micro-op for the given configuration.
 /// Instructions the configuration does not implement decode to a handler

@@ -1,10 +1,10 @@
 // Engine::Jit: threaded-code trace compilation over the predecoded micro-op
 // stream.
 //
-// Engine::Fused removed the per-instruction fetch/dispatch loop but still
-// pays one indirect call plus operand unpacking per macro-op, and a handful
-// of accounting stores per retired instruction. This layer removes those
-// too, by *translating* hot straight-line runs instead of interpreting them:
+// Engine::Predecoded pays, per retired instruction, a fetch check, one
+// indirect call plus operand unpacking, and a handful of accounting stores.
+// This layer removes those by *translating* hot straight-line runs instead
+// of interpreting them:
 //
 //  * `JitProgram::translate` lowers the maximal straight-line run starting
 //    at a text index — through any interior block leaders, up to the next
@@ -14,7 +14,7 @@
 //    decode time), and every constant the interpreter would recompute per
 //    visit folded in at translation time: absolute branch/jump targets,
 //    link values (pc+4), auipc results, and the op's fixed cycle cost via
-//    the same `fixed_cycles` precomputation superblock.cpp uses.
+//    `fixed_cycles` (sim/decode.hpp).
 //  * The trace executor (jit.cpp) dispatches slot-to-slot with computed
 //    goto where the compiler supports it (`cont` holds the label address)
 //    and a dense-switch token loop otherwise — no per-op indirect call for
@@ -37,8 +37,9 @@
 // `pending` counter (plus `pending_taken` for a taken branch terminator).
 // `materialize_all` multiplies the aggregates out into `Stats` — including
 // the per-pc cycle attribution — before any observation point: CSR reads
-// (cold blocks run through the fused interpreter, which flushes), Core::run
-// returning, exceptions, and cache invalidation. Partial executions (budget
+// (cold blocks step through the predecoded micro-ops, which book each op at
+// once, so the driver flushes before entering one), Core::run returning,
+// exceptions, and cache invalidation. Partial executions (budget
 // stop, fault) book per-slot immediately, so simulated cycles, fflags, and
 // architectural digests stay bit-identical to Engine::Reference.
 //
@@ -52,7 +53,7 @@
 // `Core::set_backend` and
 // `load_program` re-lower the micro-op stream and call `on_code_change`,
 // which drops every trace (stale bound pointers must not survive). A
-// hotness threshold keeps cold blocks on the fused interpreter — a block
+// hotness threshold keeps cold blocks on the predecoded micro-ops — a block
 // only compiles after `threshold` interpreted entries — and a cache cap
 // bounds translated memory for pathological programs (flush-all eviction;
 // heat survives, so hot blocks recompile on their next entry). Mid-block
@@ -190,7 +191,7 @@ struct JitStats {
   std::uint64_t hits = 0;          ///< entries that found a compiled trace
   std::uint64_t translations = 0;  ///< traces compiled
   std::uint64_t slots = 0;         ///< retiring slots compiled
-  std::uint64_t interp_entries = 0;  ///< cold entries run by the fused path
+  std::uint64_t interp_entries = 0;  ///< cold entries stepped as micro-ops
   std::uint64_t evictions = 0;       ///< cap-triggered flush-all evictions
   std::uint64_t invalidations = 0;   ///< on_code_change flushes
   std::uint64_t vl_invalidations = 0;  ///< lookups that unmapped a stale-VL trace
@@ -204,8 +205,8 @@ struct JitStats {
 };
 
 /// Process-wide default hotness threshold for new cores (sfrv-eval
-/// --jit-threshold): a block interprets through the fused path until it has
-/// been entered more than `threshold` times, then compiles. 0 compiles on
+/// --jit-threshold): a block steps through the predecoded micro-ops until it
+/// has been entered more than `threshold` times, then compiles. 0 compiles on
 /// first entry. Never affects simulated results, only wall clock.
 [[nodiscard]] std::uint32_t default_threshold();
 void set_default_threshold(std::uint32_t threshold);
@@ -237,8 +238,8 @@ class JitProgram {
 
   /// Compile the straight-line run starting at `idx`. Returns null (and
   /// pins `idx` as never-compile) when the op at `idx` itself is
-  /// untranslatable — the fused interpreter keeps it, with its flush
-  /// semantics (CSR reads observe live counters). May flush the whole
+  /// untranslatable — the cold path keeps it, booking each op at once
+  /// (CSR reads observe live counters). May flush the whole
   /// cache first when the cap is reached (materializing into `st`).
   Trace* translate(std::uint32_t idx, const std::vector<DecodedOp>& uops,
                    const Timing& timing, const MemConfig& mem,
@@ -253,7 +254,7 @@ class JitProgram {
   /// hits — each back-edge is a block entry that found compiled code.
   void note_runs(Trace& t, std::uint64_t runs);
 
-  /// Record one cold-path block entry (fused interpreter).
+  /// Record one cold-path block entry (stepped as predecoded micro-ops).
   void note_interp() { ++stats_.interp_entries; }
 
   void set_threshold(std::uint32_t t) { threshold_ = t; }

@@ -1,17 +1,8 @@
-// Simulator-side structural verifiers: the superblock checker and the JIT
-// trace checker.
+// Simulator-side structural verifier: the JIT trace checker.
 //
-// Both recompose a derived execution structure back against the source
-// predecoded micro-op stream, independently of the code that built it:
+// It recomposes a compiled trace back against the source predecoded
+// micro-op stream, independently of the code that built it:
 //
-//  * check_superblocks — walks a SuperblockProgram and asserts text
-//    coverage (ops tile the uop stream in order), pair eligibility against
-//    a re-derived leader set and the fusion predicates, handler identity
-//    (fn == select_fused_fn for pairs, null for singles), the embedded
-//    micro-ops' equality with the source stream, terminator marking
-//    (including the forced final terminator), the entry map's
-//    position/-1 shape, and the fixed-timing precomputation (c1/c2/
-//    cycles12/nloads/nstores) against fixed_cycles().
 //  * check_trace — decompiles each TraceSlot of a compiled trace against
 //    the source run: token legality per source op (including the Nop
 //    lowering of rd=x0 ALU ops and fences, and fast-backend Fast*
@@ -23,8 +14,7 @@
 //    counts, deduplicated op counts, taken_extra).
 //
 // Diagnostics carry the text index of the offending instruction; the Core
-// hooks stamp the pass name ("fusion" / "translation"). See
-// docs/verification.md.
+// hook stamps the pass name ("translation"). See docs/verification.md.
 #pragma once
 
 #include <cstdint>
@@ -33,16 +23,9 @@
 
 #include "sim/decode.hpp"
 #include "sim/jit.hpp"
-#include "sim/superblock.hpp"
 #include "util/verify.hpp"
 
 namespace sfrv::sim {
-
-/// Check `sp` against the micro-op stream it was built from, under the same
-/// timing/memory configuration. Empty result = well-formed.
-[[nodiscard]] std::vector<verify::Diag> check_superblocks(
-    const SuperblockProgram& sp, const std::vector<DecodedOp>& uops,
-    const Timing& timing, const MemConfig& mem);
 
 /// Check the compiled trace `t` against the micro-op stream, the
 /// translation-time VL, and the timing/memory configuration it was
@@ -52,12 +35,8 @@ namespace sfrv::sim {
     const Timing& timing, const MemConfig& mem, std::uint32_t text_base,
     std::uint32_t vl);
 
-/// Hook forms: run the checker and throw verify::VerifyError attributed to
-/// `pass` ("fusion" / "translation") when diagnostics fire.
-void verify_superblocks_or_throw(const SuperblockProgram& sp,
-                                 const std::vector<DecodedOp>& uops,
-                                 const Timing& timing, const MemConfig& mem,
-                                 std::string_view pass = "fusion");
+/// Hook form: run the checker and throw verify::VerifyError attributed to
+/// `pass` when diagnostics fire.
 void verify_trace_or_throw(const jit::Trace& t,
                            const std::vector<DecodedOp>& uops,
                            const Timing& timing, const MemConfig& mem,

@@ -348,6 +348,21 @@ TEST(CellStore, TunerAndCampaignShareContentCells) {
   }
 }
 
+TEST(CellStore, CampaignWithoutAStoreStillSharesCellsWithItsTuner) {
+  // Without a caller's store the campaign keeps a memory-only one, so the
+  // tuner study is served the matrix cells it shares instead of
+  // re-simulating them, and the report is the same as with a store.
+  CampaignSpec spec = CampaignSpec::smoke();
+  spec.benchmarks = {"svm"};
+  const EvalReport bare = run_campaign(spec, 2);
+  EXPECT_GT(bare.cache.hits, 0u);
+  CellStore store;
+  const EvalReport stored = run_campaign(spec, 2, &store);
+  EXPECT_EQ(bare.cache.hits, stored.cache.hits);
+  EXPECT_EQ(bare.cache.misses, stored.cache.misses);
+  EXPECT_EQ(to_json(bare).dump(2), to_json(stored).dump(2));
+}
+
 TEST(CampaignSpecCodec, RoundTripsToTheSameReport) {
   const CampaignSpec spec = tiny_campaign();
   const CampaignSpec parsed = spec_from_json(spec_to_json(spec));

@@ -61,6 +61,26 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW((void)Json::parse("\"unterminated"), std::runtime_error);
 }
 
+TEST(Json, DeepNestingIsAParseErrorNotAStackOverflow) {
+  // The parser recurses per array/object level: 100k nested '[' used to
+  // overflow the stack (one such frame killed a --serve daemon).
+  const std::string deep(100'000, '[');
+  try {
+    (void)Json::parse(deep);
+    FAIL() << "deep nesting parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("Json parse error at offset 256"),
+              std::string::npos)
+        << e.what();
+  }
+  std::string objects;
+  for (int i = 0; i < 100'000; ++i) objects += "{\"a\":";
+  EXPECT_THROW((void)Json::parse(objects), std::runtime_error);
+  // Nesting within the bound still parses.
+  const std::string ok = std::string(200, '[') + std::string(200, ']');
+  EXPECT_TRUE(Json::parse(ok).is_array());
+}
+
 TEST(Json, NonFiniteDoublesRejectedAtSerialization) {
   EXPECT_THROW((void)Json(std::numeric_limits<double>::infinity()).dump(),
                std::runtime_error);
@@ -163,7 +183,7 @@ TEST(Campaign, ReportIsEngineInvariant) {
   // simulated machine, not the simulator.
   std::vector<std::string> dumps;
   for (const auto e : {sim::Engine::Reference, sim::Engine::Predecoded,
-                       sim::Engine::Fused}) {
+                       sim::Engine::Jit}) {
     CampaignSpec spec = small_spec();
     spec.engine = e;
     EvalReport report = run_campaign(spec, 2);

@@ -94,7 +94,7 @@ TEST(OptDifferential, BitIdenticalAcrossLevelsEnginesBackends) {
         const auto base_digest = output_digest(base, spec.output_arrays);
         for (const auto& opt : {OptConfig::O1(), OptConfig::O2()}) {
           for (const auto engine :
-               {sim::Engine::Predecoded, sim::Engine::Fused,
+               {sim::Engine::Predecoded, sim::Engine::Jit,
                 sim::Engine::Reference}) {
             for (const auto backend :
                  {fp::MathBackend::Grs, fp::MathBackend::Fast}) {

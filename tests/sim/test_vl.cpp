@@ -20,9 +20,8 @@ using asmb::Assembler;
 using isa::Op;
 namespace reg = asmb::reg;
 
-constexpr sim::Engine kEngines[] = {sim::Engine::Reference,
-                                    sim::Engine::Predecoded,
-                                    sim::Engine::Fused, sim::Engine::Jit};
+constexpr sim::Engine kEngines[] = {
+    sim::Engine::Reference, sim::Engine::Predecoded, sim::Engine::Jit};
 
 sim::Core run_on(const asmb::Program& prog, sim::Engine e) {
   sim::Core core(isa::IsaConfig::full());
@@ -223,8 +222,8 @@ TEST(StripMine, ElementwiseKernelBitIdenticalAcrossVls) {
 
 TEST(StripMine, EnginesAgreeOnStripMinedKernels) {
   // Per-VL-point conformance: the same strip-mined cell must be bit- and
-  // cycle-identical across all four engines (the golden matrix pins this
-  // against checked-in digests; this is the direct four-way comparison).
+  // cycle-identical across all three engines (the golden matrix pins this
+  // against checked-in digests; this is the direct three-way comparison).
   const kernels::KernelSpec spec = kernels::make_fully_connected(
       {ir::ScalarType::F8, ir::ScalarType::F16}, 6, 10);
   std::vector<kernels::RunResult> runs;
