@@ -2,7 +2,8 @@
 //
 //  * Positive matrix: real kernels lowered at every mode x opt level and
 //    their compiled traces must all check clean.
-//  * Negative corpus: hand-corrupted Inst streams and trace slots — every
+//  * Negative corpus: hand-corrupted Inst streams and trace slots (the
+//    SuperblockChecker cases corrupt a trace's block shape) — every
 //    diagnostic class must fire, anchored at the right text index, and the
 //    *_or_throw hooks must stamp the right pass name.
 //  * Regression: scalar vars must be zeroed in the lowering prologue (an
@@ -509,6 +510,112 @@ TEST(TraceChecker, ThrowHookStampsTranslationPass) {
     EXPECT_NE(std::string(e.what()).find("pass 'translation'"),
               std::string::npos);
   }
+}
+
+// ---- superblock checker -----------------------------------------------------
+//
+// A compiled trace is the simulator's superblock: a single-entry run of
+// predecoded micro-ops up to its terminator, with each op's fixed cycles
+// precomputed. These cases corrupt the properties the superblock checker
+// guarded before the jit absorbed that layer (length, tiling onto the
+// source run, embedded micro-ops, the terminator, precomputed cycles, null
+// handlers) and require check_trace to flag each one.
+
+TEST(SuperblockChecker, CleanBuildPasses) {
+  // Every block entry of the loop: the entry block, the loop head (whose
+  // trace ends at the bne back-edge) and the ebreak.
+  for (const std::uint32_t idx : {0u, 1u, 3u}) {
+    TraceFixture f(loop_program(), idx);
+    ASSERT_NE(f.t, nullptr) << "idx " << idx;
+    const auto ds = f.check(*f.t);
+    EXPECT_TRUE(ds.empty()) << "idx " << idx << "\n" << render_all(ds);
+    if (idx == 1) {
+      EXPECT_EQ(f.t->n, 2u);               // addi + bne
+      EXPECT_EQ(f.t->slots.size(), 2u);    // terminated: no Exit slot
+    }
+  }
+}
+
+TEST(SuperblockChecker, FlagsCorruptLen) {
+  TraceFixture f(loop_program(), /*idx=*/1);
+  ASSERT_NE(f.t, nullptr);
+  sim::jit::Trace tt = *f.t;
+  tt.n = 4;  // runs past the ebreak at index 3
+  EXPECT_TRUE(has_diag(f.check(tt), "slots but the text ends", 1));
+  tt = *f.t;
+  tt.slots.push_back(tt.slots.back());
+  tt.slots.push_back(tt.slots.back());
+  EXPECT_TRUE(has_diag(f.check(tt), "slot array holds 4 entries for n = 2", 1));
+}
+
+TEST(SuperblockChecker, FlagsBrokenTiling) {
+  // Slots out of source order: the bne lands in the trace's interior.
+  TraceFixture f(loop_program(), /*idx=*/1);
+  ASSERT_NE(f.t, nullptr);
+  sim::jit::Trace tt = *f.t;
+  std::swap(tt.slots[0], tt.slots[1]);
+  EXPECT_TRUE(has_diag(f.check(tt), "terminator token in the interior", 1));
+}
+
+TEST(SuperblockChecker, FlagsEmbeddedUopDrift) {
+  TraceFixture f(loop_program(), /*idx=*/1);
+  ASSERT_NE(f.t, nullptr);
+  sim::jit::Trace tt = *f.t;
+  tt.slots[0].u.rd ^= 1;
+  EXPECT_TRUE(has_diag(f.check(tt),
+                       "embedded micro-op differs from the source stream", 1));
+}
+
+TEST(SuperblockChecker, FlagsDroppedTerminatorFlag) {
+  TraceFixture f(loop_program(), /*idx=*/1);
+  ASSERT_NE(f.t, nullptr);
+  // The trace stops retiring its bne: it now reads as open, and its
+  // trailing slot is the branch rather than an Exit.
+  sim::jit::Trace tt = *f.t;
+  tt.n = 1;
+  EXPECT_TRUE(has_diag(f.check(tt), ", not Exit", 1));
+  // The bne stays, but the trace also claims a fall-through Exit.
+  tt = *f.t;
+  sim::jit::TraceSlot ex = tt.slots.back();
+  ex.top = sim::jit::TOp::Exit;
+  tt.slots.push_back(ex);
+  EXPECT_TRUE(has_diag(f.check(tt),
+                       "terminator-ended trace carries a trailing Exit slot",
+                       1));
+}
+
+TEST(SuperblockChecker, FlagsCycleCorruption) {
+  // A trace translated under one memory timing and checked under another:
+  // the load's precomputed cycles, and the trace's sum, are stale.
+  Assembler a;
+  a.li(reg::t0, 64);
+  a.emit({.op = Op::LW, .rd = reg::t1, .rs1 = reg::t0});
+  a.addi(reg::t2, reg::t1, 1);
+  a.ebreak();
+  TraceFixture f(a.finish());
+  ASSERT_NE(f.t, nullptr);
+  {
+    const auto ds = f.check(*f.t);
+    EXPECT_TRUE(ds.empty()) << render_all(ds);
+  }
+  sim::MemConfig slow = kMem;
+  slow.load_latency += 2;
+  const auto ds = sim::check_trace(*f.t, f.uops, kTim, slow,
+                                   f.prog.text_base, 4);
+  EXPECT_TRUE(has_diag(ds, "precomputed slot cycles", 1)) << render_all(ds);
+  EXPECT_TRUE(has_diag(ds, "aggregate sum_cycles")) << render_all(ds);
+}
+
+TEST(SuperblockChecker, FlagsNullPairHandler) {
+  // The bne of the addi+bne pair loses its handler in the source stream: a
+  // trace must never have compiled it.
+  TraceFixture f(loop_program(), /*idx=*/1);
+  ASSERT_NE(f.t, nullptr);
+  auto uops = f.uops;
+  uops[2].fn = nullptr;
+  EXPECT_TRUE(has_diag(
+      sim::check_trace(*f.t, uops, kTim, kMem, f.prog.text_base, 4),
+      "unsupported source micro-op compiled into a trace", 2));
 }
 
 // ---- runtime switch ---------------------------------------------------------

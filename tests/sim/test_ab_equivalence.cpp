@@ -394,6 +394,60 @@ TEST(AbEquivalence, FuzzPoolCoversDynamicVl) {
   }
 }
 
+// Deterministic guard on the canonical loop shape (packed-SIMD pairs plus
+// an addi+bne back-edge). The randomized suite would still pass if the jit
+// never left its cold path, so this checks both sides of it: with
+// threshold 0 the loop body compiles and the hot iterations run from the
+// trace; with the threshold out of reach every block entry (the first
+// block, each taken back-edge, the ebreak) steps cold through the
+// predecoded micro-ops; with a small threshold the promotion happens
+// mid-loop. Every core stays cycle-identical to predecoded across the
+// taken back-edge. The suite name predates the jit's cold path, which
+// took over the superblock layer's block-at-a-time stepping.
+TEST(Superblock, FusesLoopPairsAndStaysIdentical) {
+  constexpr std::uint32_t kIters = 1000;
+  Assembler a;
+  a.li(asmb::reg::t0, kIters);
+  const auto loop = a.here();
+  a.fp_rrr(Op::VFADD_B, asmb::reg::fa0, asmb::reg::fa1, asmb::reg::fa2);
+  a.fp_rrr(Op::VFMUL_B, asmb::reg::fa3, asmb::reg::fa1, asmb::reg::fa2);
+  a.fp_rrr(Op::VFSUB_H, asmb::reg::ft0, asmb::reg::ft1, asmb::reg::ft2);
+  a.fp_rrr(Op::VFMIN_H, asmb::reg::ft3, asmb::reg::ft1, asmb::reg::ft2);
+  a.addi(asmb::reg::t0, asmb::reg::t0, -1);
+  a.bne(asmb::reg::t0, asmb::reg::zero, loop);
+  a.ebreak();
+  const asmb::Program prog = a.finish();
+
+  const auto make = [&](sim::Engine e, std::uint32_t jit_threshold) {
+    sim::Core c(isa::IsaConfig::full());
+    c.set_engine(e);
+    c.set_jit_threshold(jit_threshold);
+    c.load_program(prog);
+    EXPECT_EQ(c.run(), sim::Core::RunResult::Halted) << sim::engine_name(e);
+    return c;
+  };
+  const sim::Core uop = make(sim::Engine::Predecoded, 0);
+  const sim::Core hot = make(sim::Engine::Jit, 0);
+  const sim::Core cold = make(sim::Engine::Jit, 1'000'000);
+  const sim::Core promoted = make(sim::Engine::Jit, 16);
+
+  EXPECT_GE(hot.jit_stats().translations, 1u);
+  EXPECT_GE(hot.jit_stats().slots, 6u);  // the loop body: 4 vec + addi + bne
+  EXPECT_EQ(hot.jit_stats().interp_entries, 0u);
+
+  EXPECT_EQ(cold.jit_stats().translations, 0u);
+  EXPECT_EQ(cold.jit_stats().interp_entries, 1u + (kIters - 1) + 1u);
+  EXPECT_EQ(cold.jit_stats().lookups, cold.jit_stats().interp_entries);
+
+  EXPECT_GE(promoted.jit_stats().translations, 1u);
+  EXPECT_GT(promoted.jit_stats().interp_entries, 16u);
+  EXPECT_LT(promoted.jit_stats().interp_entries, kIters / 2);
+
+  EXPECT_TRUE(state_eq(uop, hot));
+  EXPECT_TRUE(state_eq(uop, cold));
+  EXPECT_TRUE(state_eq(uop, promoted));
+}
+
 // Falling through the last text instruction (no ebreak) must raise the same
 // fetch fault with the same fully-retired state under every engine — neither
 // the jit's trace walker nor its cold path may run off the end of the text.
@@ -420,11 +474,12 @@ TEST(Superblock, FallthroughOffTextEndMatchesAllEngines) {
   }
 }
 
-// A fault in the middle of a cold jit block (addi + out-of-bounds lw) must
-// leave the same post-exception state as the predecoded engine: the
-// block's prefix retired (pc, cycles, instret, register writes), the load
-// did not. The threshold keeps the block off the trace path.
-TEST(JitColdPath, FaultMidBlockRetiresThePredecodedPrefix) {
+// A fault in the second op of an addi+lw pair in the middle of a cold jit
+// block (the lw reads far out of bounds) must leave the same
+// post-exception state as the predecoded engine: the block's prefix
+// retired (pc, cycles, instret, register writes, the addi among them), the
+// load did not. The threshold keeps the block off the trace path.
+TEST(Superblock, FaultInSecondHalfOfPairRetiresFirstHalf) {
   Assembler a;
   a.li(asmb::reg::t0, 0x7ff00000);  // far outside the 8 MiB memory (1 inst)
   a.addi(asmb::reg::t3, asmb::reg::zero, 0);
